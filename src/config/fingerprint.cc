@@ -1,9 +1,7 @@
 #include "config/fingerprint.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <utility>
-#include <vector>
+#include <map>
 
 namespace leaftl
 {
@@ -38,40 +36,41 @@ fnv1a64(const std::string &s)
 std::string
 canonicalRunConfig(const ExperimentSpec &spec, const RunPoint &point)
 {
-    std::vector<std::pair<std::string, std::string>> kv;
-    kv.emplace_back("ftl", ftlKindName(point.ftl));
-    kv.emplace_back("workload", point.workload);
-    kv.emplace_back("qd", std::to_string(point.qd));
-    kv.emplace_back("device", point.device);
-    kv.emplace_back("mode", point.mode);
-    kv.emplace_back("requests", std::to_string(spec.requests));
-    kv.emplace_back("ws", std::to_string(spec.working_set_pages));
-    kv.emplace_back("dram-bytes", std::to_string(spec.dram_bytes));
-    kv.emplace_back("prefill", fmtDouble(spec.prefill_frac));
-    kv.emplace_back("seed", std::to_string(spec.seed));
+    // An ordered map keeps the lines sorted by key as they are added.
+    std::map<std::string, std::string> kv;
+    kv.emplace("ftl", ftlKindName(point.ftl));
+    kv.emplace("workload", point.workload);
+    kv.emplace("qd", std::to_string(point.qd));
+    kv.emplace("device", point.device);
+    kv.emplace("mode", point.mode);
+    kv.emplace("requests", std::to_string(spec.requests));
+    kv.emplace("ws", std::to_string(spec.working_set_pages));
+    kv.emplace("dram-bytes", std::to_string(spec.dram_bytes));
+    kv.emplace("prefill", fmtDouble(spec.prefill_frac));
+    kv.emplace("seed", std::to_string(spec.seed));
     // Result-irrelevant keys are dropped so equivalent runs collide:
     // the same dedupe rules the sweep applies (gamma only changes
     // LeaFTL, rate only the rate-driven modes, burst-duty only
     // burst), plus the optional overrides at their "unset" defaults.
     if (point.ftl == FtlKind::LeaFTL)
-        kv.emplace_back("gamma", std::to_string(point.gamma));
+        kv.emplace("gamma", std::to_string(point.gamma));
     if (modeUsesRate(point.mode))
-        kv.emplace_back("rate", fmtDouble(point.rate));
+        kv.emplace("rate", fmtDouble(point.rate));
     if (point.mode == "burst")
-        kv.emplace_back("burst-duty", fmtDouble(spec.burst_duty));
+        kv.emplace("burst-duty", fmtDouble(spec.burst_duty));
     if (spec.read_ratio >= 0.0)
-        kv.emplace_back("read-ratio", fmtDouble(spec.read_ratio));
+        kv.emplace("read-ratio", fmtDouble(spec.read_ratio));
     if (spec.interarrival_us >= 0.0)
-        kv.emplace_back("interarrival", fmtDouble(spec.interarrival_us));
+        kv.emplace("interarrival", fmtDouble(spec.interarrival_us));
     // Durability knobs only perturb LeaFTL runs, and only when set, so
     // every historical fingerprint is preserved at the defaults.
     if (point.ftl == FtlKind::LeaFTL) {
         if (spec.snapshot_interval_writes > 0)
-            kv.emplace_back("snapshot-interval",
-                            std::to_string(spec.snapshot_interval_writes));
+            kv.emplace("snapshot-interval",
+                       std::to_string(spec.snapshot_interval_writes));
         if (spec.journal_threshold_bytes > 0)
-            kv.emplace_back("journal-threshold",
-                            std::to_string(spec.journal_threshold_bytes));
+            kv.emplace("journal-threshold",
+                       std::to_string(spec.journal_threshold_bytes));
     }
     if (!spec.crash_points.empty()) {
         std::string pts;
@@ -80,10 +79,9 @@ canonicalRunConfig(const ExperimentSpec &spec, const RunPoint &point)
                 pts += ',';
             pts += std::to_string(p);
         }
-        kv.emplace_back("crash-at", pts);
+        kv.emplace("crash-at", pts);
     }
 
-    std::sort(kv.begin(), kv.end());
     std::string out;
     for (const auto &[key, value] : kv) {
         out += key;

@@ -93,16 +93,6 @@ class GroupDirectory
             chunk.dirty |= 1ull << slot;
     }
 
-    /** Mark every live group dirty (whole-table mutations: compact). */
-    void
-    markAllDirty()
-    {
-        for (auto &chunk : chunks_) {
-            if (chunk)
-                chunk->dirty = chunk->live;
-        }
-    }
-
     /** Forget all dirty marks (a snapshot/delta has been committed). */
     void
     clearDirty()

@@ -288,11 +288,14 @@ void
 LearnedTable::compact()
 {
     bumpEpoch();
-    // Compaction can restructure any group, so the next delta must
-    // carry all of them (cheap relative to the compaction itself).
-    groups_.markAllDirty();
+    // A settled group is at its compaction fixed point and unmutated
+    // since, so compacting it again is a no-op: skip it. Only the
+    // groups compacted here join the next delta.
     if (!pool_) {
-        groups_.forEach([&](uint32_t, Group &group) {
+        groups_.forEach([&](uint32_t idx, Group &group) {
+            if (group.settled())
+                return;
+            groups_.markDirty(idx);
             beginMutate(group);
             group.compact(scratch_);
             endMutate(group);
@@ -303,8 +306,10 @@ LearnedTable::compact()
     // Parallel compaction: each group's compact touches only that
     // group, so the same disjoint-stripe argument as learn() applies.
     std::vector<Group *> groups;
-    groups.reserve(groups_.size());
-    groups_.forEach([&](uint32_t, Group &group) {
+    groups_.forEach([&](uint32_t idx, Group &group) {
+        if (group.settled())
+            return;
+        groups_.markDirty(idx);
         beginMutate(group);
         groups.push_back(&group);
     });

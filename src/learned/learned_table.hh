@@ -175,7 +175,11 @@ class LearnedTable
      */
     void setShardPool(ShardPool *pool);
 
-    /** Compact every group (triggered periodically by the FTL, §3.7). */
+    /**
+     * Compact every group not already settled at its compaction fixed
+     * point (triggered periodically by the FTL, §3.7), and mark the
+     * compacted groups dirty.
+     */
     void compact();
 
     /** Total mapping memory: segments + CRBs (bytes, O(1)). */

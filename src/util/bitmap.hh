@@ -1,8 +1,10 @@
 /**
  * @file
- * Compact dynamic bitmap used by the page validity table (PVT) and by
- * the segment-merge procedure (Algorithm 2 reconstructs segments into
- * temporary bitmaps before subtracting overlaps).
+ * Compact dynamic bitmap backing the page validity table (PVT): one
+ * per materialized flash block. The segment merge and compaction no
+ * longer use it -- they work on fixed four-word OffsetMasks
+ * (learned/group.hh), and the learned-bitmap lint rule keeps Bitmap
+ * out of src/learned/.
  */
 
 #pragma once
@@ -35,7 +37,7 @@ class Bitmap
     uint32_t lastSet() const;
     bool none() const { return popcount() == 0; }
 
-    /** In-place this &= ~other (subtract overlap, Algorithm 2 line 19). */
+    /** In-place this &= ~other. */
     void subtract(const Bitmap &other);
 
   private:

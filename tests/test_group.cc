@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the per-group log-structured mapping table (§3.4, §3.7,
- * Algorithms 1 & 2), including the paper's Fig. 13 timeline and a
- * randomized differential test against a shadow map.
+ * Algorithms 1 & 2), including the paper's Fig. 13 timeline, a
+ * randomized differential test against a shadow map, and the
+ * compaction fixed-point properties.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 
+#include "group_test_util.hh"
 #include "learned/group.hh"
 #include "learned/plr.hh"
 #include "util/rng.hh"
@@ -291,6 +294,130 @@ INSTANTIATE_TEST_SUITE_P(
     GammaSeeds, GroupRandomSweep,
     ::testing::Combine(::testing::Values(0u, 1u, 4u, 16u),
                        ::testing::Range<uint64_t>(0, 15)));
+
+TEST(Group, SettledUntilMutated)
+{
+    Group g;
+    learnRun(g, range(0, 100), 100, 0);
+    learnRun(g, range(40, 60), 300, 0);
+    EXPECT_FALSE(g.settled());
+    g.compact();
+    EXPECT_TRUE(g.settled());
+    learnRun(g, range(10, 20), 500, 0);
+    EXPECT_FALSE(g.settled());
+    g.compact();
+    EXPECT_TRUE(g.settled());
+    g.restoreRaw(0, Segment::makeSinglePoint(200, 900), {});
+    EXPECT_FALSE(g.settled());
+}
+
+TEST(Group, OneCompactionPassIsNotAFixedPoint)
+{
+    // An accurate victim over 0..10 below B = {1..4} below A = {0, 5}:
+    // Phase 1 subtracts A then B, leaving the victim at [5, 10] with 5
+    // shadowed by A; only a second subtraction of A trims it to
+    // [6, 10]. compact() must keep going until a pass changes nothing.
+    Group g;
+    std::map<uint8_t, Ppa> truth;
+    learnRun(g, range(0, 10), 100, 0, &truth);
+    learnRun(g, range(1, 4), 200, 0, &truth);
+    learnRun(g, {0, 5}, 300, 0, &truth);
+    ASSERT_EQ(g.numLevels(), 3u);
+
+    Group single = g;
+    MergeScratch scratch;
+    EXPECT_TRUE(single.compactPass(scratch));
+    EXPECT_TRUE(single.compactPass(scratch));
+
+    EXPECT_GE(g.compact(), 3u);
+    EXPECT_FALSE(g.compactPass(scratch));
+    verifyAgainstTruth(g, truth, 0);
+    g.checkInvariants();
+}
+
+/**
+ * Randomized fragmented group: stride-1 runs, strided runs, single
+ * points and irregular (approximate when gamma > 0) batches, with the
+ * exact truth recorded.
+ */
+Group
+randomGroup(Rng &rng, uint32_t gamma, std::map<uint8_t, Ppa> &truth)
+{
+    Group g;
+    Ppa next_ppa = 10000;
+    for (int round = 0; round < 50; round++) {
+        const uint32_t start = static_cast<uint32_t>(rng.nextBounded(240));
+        std::vector<uint8_t> offs;
+        switch (rng.nextBounded(4)) {
+        case 0:
+            offs = range(start, std::min<uint32_t>(
+                                    255, start + rng.nextBounded(80)));
+            break;
+        case 1:
+            offs = range(start, 255,
+                         2 + static_cast<uint32_t>(rng.nextBounded(6)));
+            offs.resize(std::min<size_t>(offs.size(), 30));
+            break;
+        case 2:
+            offs = {static_cast<uint8_t>(start)};
+            break;
+        default:
+            for (uint32_t off = start; off < kGroupSpan && offs.size() < 40;
+                 off += 1 + static_cast<uint32_t>(rng.nextBounded(7)))
+                offs.push_back(static_cast<uint8_t>(off));
+            break;
+        }
+        learnRun(g, offs, next_ppa, gamma, &truth);
+        next_ppa += static_cast<Ppa>(offs.size()) + rng.nextBounded(100);
+    }
+    return g;
+}
+
+class GroupCompactionProperties
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>>
+{
+};
+
+TEST_P(GroupCompactionProperties, FixedPointIsIdempotentAndExact)
+{
+    const uint32_t gamma = std::get<0>(GetParam());
+    Rng rng(std::get<1>(GetParam()) * 6364136223846793005ull + gamma);
+    std::map<uint8_t, Ppa> truth;
+    const Group g = randomGroup(rng, gamma, truth);
+    verifyAgainstTruth(g, truth, gamma);
+
+    // Fixed point, reached within a bound that turns a livelocked
+    // change test into a loud failure.
+    Group once = g;
+    const uint32_t passes = once.compact();
+    EXPECT_LE(passes, g.numSegments() + g.numLevels() + 1);
+    EXPECT_TRUE(once.settled());
+    once.checkInvariants();
+
+    // Exact before and after: every offset resolves to the shadow
+    // map's PPA (within gamma for approximate hits), and compaction
+    // changes no answer.
+    verifyAgainstTruth(once, truth, gamma);
+    for (uint32_t off = 0; off < kGroupSpan; off++) {
+        const auto a = g.lookup(static_cast<uint8_t>(off));
+        const auto b = once.lookup(static_cast<uint8_t>(off));
+        ASSERT_EQ(a.has_value(), b.has_value()) << off;
+        if (a) {
+            EXPECT_EQ(a->ppa, b->ppa) << off;
+            EXPECT_EQ(a->approximate, b->approximate) << off;
+        }
+    }
+
+    // compact(compact(g)) == compact(g), byte for byte.
+    Group twice = once;
+    EXPECT_EQ(twice.compact(), 1u);
+    EXPECT_EQ(test::groupBlob(twice), test::groupBlob(once));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GammaSeeds, GroupCompactionProperties,
+    ::testing::Combine(::testing::Values(0u, 1u, 4u, 16u),
+                       ::testing::Range<uint64_t>(0, 25)));
 
 } // namespace
 } // namespace leaftl

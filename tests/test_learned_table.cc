@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the LearnedTable facade: multi-group learning, stats,
- * memory accounting, compaction, serialization round-trips, and a
+ * memory accounting, compaction (settled-group skip, dirty marking,
+ * serial vs pooled parity), serialization round-trips, and a
  * differential property test across many groups.
  */
 
@@ -12,6 +13,7 @@
 #include <map>
 
 #include "learned/learned_table.hh"
+#include "sim/shard_runner.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -469,6 +471,155 @@ INSTANTIATE_TEST_SUITE_P(
     GammaSeeds, TableRandomSweep,
     ::testing::Combine(::testing::Values(0u, 1u, 4u, 16u),
                        ::testing::Range<uint64_t>(0, 10)));
+
+/** Random LPA-sorted run with irregular gaps over [0, span). */
+std::vector<std::pair<Lpa, Ppa>>
+randomRun(Rng &rng, Lpa span, Ppa &next_ppa)
+{
+    std::vector<std::pair<Lpa, Ppa>> run;
+    Lpa lpa = rng.nextBounded(span);
+    const uint32_t n = 1 + rng.nextBounded(200);
+    for (uint32_t i = 0; i < n; i++) {
+        run.emplace_back(lpa, next_ppa++);
+        lpa += 1 + rng.nextBounded(5);
+    }
+    return run;
+}
+
+/** Group indices a serializeDirty() blob carries, in order. */
+std::vector<uint32_t>
+deltaGroups(const std::vector<uint8_t> &blob)
+{
+    size_t at = 0;
+    auto get = [&](auto &v) {
+        std::memcpy(&v, blob.data() + at, sizeof(v));
+        at += sizeof(v);
+    };
+    uint32_t gamma = 0, count = 0;
+    get(gamma);
+    get(count);
+    std::vector<uint32_t> idxs;
+    for (uint32_t g = 0; g < count; g++) {
+        uint32_t idx = 0, segs = 0;
+        get(idx);
+        get(segs);
+        idxs.push_back(idx);
+        for (uint32_t i = 0; i < segs; i++) {
+            uint16_t level = 0, kbits = 0;
+            uint8_t slpa = 0, length = 0;
+            int32_t intercept = 0;
+            get(level);
+            get(slpa);
+            get(length);
+            get(kbits);
+            get(intercept);
+            if (Segment(slpa, length, kbits, intercept).approximate()) {
+                uint16_t len = 0;
+                get(len);
+                at += len;
+            }
+        }
+    }
+    EXPECT_EQ(at, blob.size());
+    return idxs;
+}
+
+TEST(LearnedTableCompaction, DirtiesOnlyGroupsMutatedSinceSettled)
+{
+    LearnedTable t(4);
+    Rng rng(21);
+    Ppa next_ppa = 1;
+    for (int i = 0; i < 60; i++)
+        t.learn(randomRun(rng, 16 * kGroupSpan, next_ppa));
+    t.compact();
+    EXPECT_GT(t.dirtyGroups(), 1u);
+    t.clearDirty();
+
+    // Every group is settled: compaction is a no-op and dirties none.
+    const auto settled = t.serialize();
+    t.compact();
+    EXPECT_EQ(t.dirtyGroups(), 0u);
+    EXPECT_EQ(t.serialize(), settled);
+
+    // Learn into group X only, then commit a snapshot: the next
+    // compaction compacts (and dirties) exactly {X}.
+    const uint32_t x = 5;
+    t.learn(seqRun(x * kGroupSpan + 40, 30, next_ppa));
+    t.learn(seqRun(x * kGroupSpan + 50, 5, next_ppa + 100));
+    const auto before = t.serialize();
+    t.clearDirty();
+    t.compact();
+    EXPECT_EQ(t.dirtyGroups(), 1u);
+    const auto delta = t.serializeDirty();
+    EXPECT_EQ(deltaGroups(delta), std::vector<uint32_t>{x});
+
+    // The one-group delta is complete: applied to the pre-compaction
+    // snapshot, it reproduces the compacted table.
+    auto restored = LearnedTable::deserialize(before);
+    ASSERT_TRUE(restored->applyDelta(delta));
+    EXPECT_EQ(restored->serialize(), t.serialize());
+}
+
+TEST(LearnedTableCompaction, RestoredGroupsAreCompactedAgain)
+{
+    LearnedTable t(0);
+    Rng rng(8);
+    Ppa next_ppa = 1;
+    for (int i = 0; i < 30; i++)
+        t.learn(randomRun(rng, 8 * kGroupSpan, next_ppa));
+    t.compact();
+    const auto compacted = t.serialize();
+
+    // Deserialized groups are not known to be settled: the first
+    // compaction walks (and dirties) every group, changing nothing.
+    auto copy = LearnedTable::deserialize(compacted);
+    copy->compact();
+    EXPECT_EQ(copy->dirtyGroups(), copy->numGroups());
+    EXPECT_EQ(copy->serialize(), compacted);
+}
+
+TEST(LearnedTableCompaction, ShardPoolMatchesSerialDirtySetsAndStats)
+{
+    for (uint32_t gamma : {0u, 4u}) {
+        LearnedTable serial(gamma);
+        LearnedTable pooled(gamma);
+        ShardPool pool(4);
+        pooled.setShardPool(&pool);
+        Rng rng(77 + gamma);
+        Ppa next_ppa = 1;
+        for (int round = 0; round < 40; round++) {
+            const auto run = randomRun(rng, 32 * kGroupSpan, next_ppa);
+            serial.learn(run);
+            pooled.learn(run);
+            if (round % 4 == 3) {
+                serial.compact();
+                pooled.compact();
+                ASSERT_EQ(pooled.serialize(), serial.serialize())
+                    << "gamma=" << gamma << " round=" << round;
+                ASSERT_EQ(pooled.dirtyGroups(), serial.dirtyGroups());
+                ASSERT_EQ(pooled.serializeDirty(), serial.serializeDirty());
+            }
+            if (round % 8 == 7) {
+                serial.clearDirty();
+                pooled.clearDirty();
+            }
+            for (Lpa lpa = 0; lpa < 32 * kGroupSpan; lpa += 7) {
+                const auto a = serial.lookup(lpa);
+                const auto b = pooled.lookup(lpa);
+                ASSERT_EQ(a.has_value(), b.has_value()) << lpa;
+            }
+        }
+        const auto &a = serial.stats();
+        const auto &b = pooled.stats();
+        EXPECT_EQ(b.segments_created, a.segments_created);
+        EXPECT_EQ(b.accurate_created, a.accurate_created);
+        EXPECT_EQ(b.approximate_created, a.approximate_created);
+        EXPECT_EQ(b.lookups, a.lookups);
+        EXPECT_EQ(b.lookup_levels_total, a.lookup_levels_total);
+        EXPECT_EQ(b.lookup_cache_hits, a.lookup_cache_hits);
+        EXPECT_EQ(pooled.memoryBytes(), serial.memoryBytes());
+    }
+}
 
 } // namespace
 } // namespace leaftl

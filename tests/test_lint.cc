@@ -415,6 +415,46 @@ TEST(LintNodeContainers, InlineAllowSuppresses)
                       "hot-path-node-containers"));
 }
 
+// -------------------------------------------------- learned-bitmap
+
+TEST(LintLearnedBitmap, FlagsBitmapInLearned)
+{
+    EXPECT_TRUE(hits("src/learned/group.hh",
+                     "#pragma once\nstruct S { Bitmap bm_new; };\n",
+                     "learned-bitmap"));
+    EXPECT_TRUE(hits("src/learned/group.cc",
+                     "void f(leaftl::Bitmap &bm) { bm.set(3); }\n",
+                     "learned-bitmap"));
+}
+
+TEST(LintLearnedBitmap, MasksAndOutOfScopeUsesClean)
+{
+    // The word masks, and identifiers merely containing the word.
+    EXPECT_FALSE(hits("src/learned/group.cc",
+                      "OffsetMask m; m.set(3);\nint BitmapCount = 0;\n",
+                      "learned-bitmap"));
+    // Comments and strings are blanked.
+    EXPECT_FALSE(hits("src/learned/group.cc",
+                      "// replaced the old Bitmap scratch\n"
+                      "const char *s = \"Bitmap\";\n",
+                      "learned-bitmap"));
+    // The PVT and the bench reference keep Bitmap.
+    EXPECT_FALSE(hits("src/ssd/block_manager.hh",
+                      "#pragma once\nstd::vector<Bitmap> pvt_;\n",
+                      "learned-bitmap"));
+    EXPECT_FALSE(hits("bench/learned_reference.hh",
+                      "#pragma once\nstruct R { Bitmap bm_old; };\n",
+                      "learned-bitmap"));
+}
+
+TEST(LintLearnedBitmap, InlineAllowSuppresses)
+{
+    EXPECT_FALSE(hits("src/learned/foo.cc",
+                      "// leaftl-lint: allow(learned-bitmap)\n"
+                      "Bitmap cold;\n",
+                      "learned-bitmap"));
+}
+
 // ----------------------------------------------- assert-side-effect
 
 TEST(LintAssertSideEffect, FlagsMutationsInAsserts)

@@ -870,6 +870,30 @@ ruleHotPathNodeContainers(const PathInfo &p, const ScannedFile &f,
     }
 }
 
+/**
+ * perf/learned-bitmap: the segment merge and compaction (src/learned/)
+ * once reconstructed every segment into a heap-backed util::Bitmap and
+ * walked it bit by bit -- ~94% of host time on a fragmented workload.
+ * They now use four-word OffsetMasks (word-parallel subtraction,
+ * ctz/clz first/last), and Bitmap serves only the page validity
+ * table. Any use of Bitmap in src/learned/ is that regression coming
+ * back. The old implementation lives on in bench/learned_reference.hh,
+ * outside the rule's scope.
+ */
+void
+ruleLearnedBitmap(const PathInfo &p, const ScannedFile &f, Findings &out)
+{
+    if (!startsWith(p.path, "src/learned/"))
+        return;
+    for (int line = 1; line <= f.lineCount(); line++) {
+        if (findIdent(f.codeAt(line), "Bitmap") == std::string::npos)
+            continue;
+        add(out, p, line, "learned-bitmap",
+            "Bitmap in the learned merge path; use OffsetMask (word "
+            "masks) -- Bitmap serves only the page validity table");
+    }
+}
+
 struct Rule
 {
     RuleInfo info;
@@ -908,6 +932,10 @@ rules()
           "no node-based standard containers (std::list/map/unordered_*) "
           "in src/ssd/ or src/learned/"},
          ruleHotPathNodeContainers},
+        {{"learned-bitmap", "perf",
+          "no util::Bitmap in src/learned/ (merge/compaction use "
+          "OffsetMask word masks)"},
+         ruleLearnedBitmap},
         {{"pragma-once", "hygiene", "every header uses #pragma once"},
          rulePragmaOnce},
         {{"using-namespace-header", "hygiene",
