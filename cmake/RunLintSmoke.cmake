@@ -1,5 +1,5 @@
 # Lint the real tree with leaftl_lint and require a clean pass: the
-# repo's determinism/concurrency/hygiene disciplines are tested
+# repo's determinism/perf/hygiene disciplines are tested
 # invariants, not review guidelines. Asserts both the human (text)
 # and the machine (JSON) entry points.
 #
@@ -38,7 +38,7 @@ execute_process(
     OUTPUT_VARIABLE rules_out
     RESULT_VARIABLE rules_rc)
 if(NOT rules_rc EQUAL 0 OR NOT rules_out MATCHES "wall-clock"
-   OR NOT rules_out MATCHES "parallel-mutation")
+   OR NOT rules_out MATCHES "learned-bitmap")
     message(FATAL_ERROR "--list-rules lost rules:\n${rules_out}")
 endif()
 

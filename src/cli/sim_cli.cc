@@ -14,7 +14,6 @@
 #include "cli/campaign.hh"
 #include "flash/presets.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
 #include "util/host_clock.hh"
 #include "util/parse.hh"
 #include "ssd/ssd.hh"
@@ -173,14 +172,7 @@ usage()
         << "  --trace-strict   fail on malformed trace lines instead of\n"
         << "                   skipping them\n"
         << "  --jobs N         sweep worker threads (default: hardware\n"
-        << "                   concurrency; rows stay in sweep order;\n"
-        << "                   capped so jobs x threads fits the host)\n"
-        << "  --threads N      intra-run replay workers per run\n"
-        << "                   (default 1; results are bit-identical\n"
-        << "                   for any value -- wall clock only)\n"
-        << "  --quantum N      requests per intra-run barrier window\n"
-        << "                   (default " << kDefaultBarrierQuantum
-        << "; results do not depend on it)\n"
+        << "                   concurrency; rows stay in sweep order)\n"
         << "  --campaign-diff A B  compare two BENCH_<name>.json\n"
         << "                   summaries by run fingerprint and print\n"
         << "                   per-run throughput/p99 deltas\n"
@@ -267,8 +259,6 @@ parseArgs(int argc, const char *const *argv, SimOptions &opts,
         {"--rate", "rate"},
         {"--burst-duty", "burst-duty"},
         {"--jobs", "jobs"},
-        {"--threads", "threads"},
-        {"--quantum", "quantum"},
         {"--requests", "requests"},
         {"--ws", "ws"},
         {"--dram-mb", "dram-mb"},
@@ -568,6 +558,15 @@ csvRow(const RunResult &res, FtlKind ftl, uint32_t gamma,
     return row.str();
 }
 
+unsigned
+sweepJobs(unsigned requested, size_t tasks)
+{
+    const unsigned jobs =
+        requested ? requested : std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        std::clamp<size_t>(jobs, 1, std::max<size_t>(1, tasks)));
+}
+
 int
 runSweep(const config::ExperimentSpec &opts, std::ostream &out)
 {
@@ -698,7 +697,6 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
                 std::string err;
                 auto wl = makeWorkload(t.spec, opts, err, &trace_cache);
                 if (wl) {
-                    std::unique_ptr<ShardPool> run_pool;
                     Ssd ssd(makeConfig(t.ftl, t.gamma, opts, t.device));
                     RunOptions ropts;
                     ropts.prefill_pages = static_cast<uint64_t>(
@@ -706,13 +704,6 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
                     ropts.mixed_prefill = true;
                     ropts.queue_depth = t.qd;
                     ropts.crash_points = opts.crash_points;
-                    if (opts.threads > 1) {
-                        run_pool =
-                            std::make_unique<ShardPool>(opts.threads);
-                        ssd.attachShardPool(run_pool.get());
-                        ropts.pool = run_pool.get();
-                        ropts.barrier_quantum = opts.barrier_quantum;
-                    }
                     wl = applyMode(std::move(wl), t.mode, t.rate, opts,
                                    ropts);
                     HostTimer timer;
@@ -733,16 +724,7 @@ runSweep(const config::ExperimentSpec &opts, std::ostream &out)
         }
     };
 
-    // Cap sweep fan-out so jobs x intra-run threads never silently
-    // oversubscribes the machine.
-    std::string jobs_warning;
-    unsigned jobs = clampSweepJobs(
-        opts.jobs, opts.threads,
-        std::max(1u, std::thread::hardware_concurrency()), &jobs_warning);
-    if (!jobs_warning.empty())
-        std::cerr << "leaftl_sim: " << jobs_warning << '\n';
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(1, tasks.size())));
+    const unsigned jobs = sweepJobs(opts.jobs, tasks.size());
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; i++)

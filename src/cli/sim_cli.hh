@@ -145,6 +145,12 @@ std::string csvRow(const RunResult &res, FtlKind ftl, uint32_t gamma,
                    const SsdConfig &cfg, const std::string &device = "auto");
 
 /**
+ * Worker threads for @a tasks independent runs: @a requested (0 =
+ * hardware concurrency), capped at the task count (min 1).
+ */
+unsigned sweepJobs(unsigned requested, size_t tasks);
+
+/**
  * Run the whole sweep on opts.jobs worker threads and write the CSV
  * to @a out (header first, then one row per combination, in
  * combination order regardless of job count).

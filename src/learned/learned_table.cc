@@ -3,8 +3,6 @@
 #include <bitset>
 #include <cstring>
 
-#include "sim/shard_runner.hh"
-
 namespace leaftl
 {
 
@@ -77,73 +75,23 @@ LearnedTable::learn(const std::vector<std::pair<Lpa, Ppa>> &run)
     std::vector<uint32_t> touched;
     if (run.empty())
         return touched;
-    bumpEpoch(); // Cached level-0 entries may be superseded below.
-    auto fitted = fitRun(run, gamma_);
-    if (!pool_ || fitted.size() < 2) {
-        for (auto &[group_idx, segs] : fitted) {
-            touched.push_back(group_idx);
-            Group &group = groups_.getOrCreate(group_idx);
-            groups_.markDirty(group_idx);
-            beginMutate(group);
-            for (const FittedSegment &fs : segs) {
-                stats_.segments_created++;
-                if (fs.seg.approximate())
-                    stats_.approximate_created++;
-                else
-                    stats_.accurate_created++;
-                stats_.creation_lengths.add(fs.offs.size());
-                group.update(fs, scratch_);
-            }
-            endMutate(group);
-        }
-        return touched;
-    }
-
-    // Parallel learn. Directory creation and the table totals are
-    // order-dependent, so they stay on the commit thread; the per-group
-    // merges -- the bulk of the work -- fan out. fitRun() emits each
-    // group index at most once, so stripes mutate disjoint Group
-    // objects, and group pointers collected here stay valid across the
-    // later getOrCreate calls (groups never move).
-    touched.reserve(fitted.size());
-    std::vector<Group *> groups;
-    groups.reserve(fitted.size());
-    for (auto &[group_idx, segs] : fitted) {
+    cache_.top = nullptr; // The cached entry may be superseded below.
+    for (auto &[group_idx, segs] : fitRun(run, gamma_)) {
         touched.push_back(group_idx);
         Group &group = groups_.getOrCreate(group_idx);
         groups_.markDirty(group_idx);
         beginMutate(group);
-        groups.push_back(&group);
+        for (const FittedSegment &fs : segs) {
+            stats_.segments_created++;
+            if (fs.seg.approximate())
+                stats_.approximate_created++;
+            else
+                stats_.accurate_created++;
+            stats_.creation_lengths.add(fs.offs.size());
+            group.update(fs, scratch_);
+        }
+        endMutate(group);
     }
-    pool_->parallelFor(
-        fitted.size(), [&](size_t begin, size_t end, uint32_t w) {
-            CreateTally &tally = worker_tally_[w];
-            MergeScratch &scratch = worker_scratch_[w];
-            for (size_t i = begin; i < end; i++) {
-                for (const FittedSegment &fs : fitted[i].second) {
-                    tally.segments++;
-                    if (fs.seg.approximate())
-                        tally.approximate++;
-                    else
-                        tally.accurate++;
-                    tally.lengths.add(fs.offs.size());
-                    groups[i]->update(fs, scratch);
-                }
-            }
-        });
-    // Merge the creation tallies in worker order: integer counters and
-    // a double sum of small integers, so the result is bit-identical
-    // to the serial accumulation for any worker count.
-    for (CreateTally &tally : worker_tally_) {
-        stats_.segments_created += tally.segments;
-        stats_.accurate_created += tally.accurate;
-        stats_.approximate_created += tally.approximate;
-        stats_.creation_lengths.merge(tally.lengths);
-        tally.segments = tally.accurate = tally.approximate = 0;
-        tally.lengths.clear();
-    }
-    for (Group *group : groups)
-        endMutate(*group);
     return touched;
 }
 
@@ -155,7 +103,7 @@ LearnedTable::lookup(Lpa lpa) const
 
     // Directory shortcut: group objects never move and live groups are
     // never removed, so a remembered non-null pointer stays correct
-    // across mutations; only the level-0 entry needs the epoch gate.
+    // across mutations; only the level-0 entry is dropped by them.
     const Group *group;
     if (cache_.group_idx == group_idx) {
         group = cache_.group;
@@ -175,11 +123,10 @@ LearnedTable::lookup(Lpa lpa) const
         return std::nullopt;
 
     // Last-hit shortcut: if the previous hit's level-0 entry still
-    // covers and owns this offset (and the table is unchanged), a full
-    // scan would find exactly this segment at depth 1 -- within a
+    // covers and owns this offset (it is dropped by every mutation), a
+    // full scan would find exactly this segment at depth 1 -- within a
     // level, covering segments are unique, and level 0 is topmost.
-    if (cache_.top && cache_.epoch == epoch() &&
-        group->hasLpa(*cache_.top, off)) {
+    if (cache_.top && group->hasLpa(*cache_.top, off)) {
         stats_.lookup_cache_hits++;
         stats_.lookups++;
         stats_.lookup_levels_total += 1;
@@ -192,135 +139,29 @@ LearnedTable::lookup(Lpa lpa) const
     auto res = group->lookup(off, &top_hit);
     if (!res)
         return std::nullopt;
-    if (top_hit) {
+    if (top_hit)
         cache_.top = top_hit;
-        cache_.epoch = epoch();
-    }
     stats_.lookups++;
     stats_.lookup_levels_total += res->levels_visited;
     stats_.lookup_levels.add(res->levels_visited);
     return TableLookup{res->ppa, res->approximate, res->levels_visited};
 }
 
-RawLookup
-LearnedTable::lookupRaw(Lpa lpa) const
-{
-    RawLookup out;
-    out.epoch = epoch();
-    const Group *group = groups_.find(groupOf(lpa));
-    if (!group)
-        return out;
-    const uint8_t off = static_cast<uint8_t>(groupOffset(lpa));
-    const SegEntry *top_hit = nullptr;
-    auto res = group->lookup(off, &top_hit);
-    if (!res)
-        return out;
-    out.found = true;
-    out.ppa = res->ppa;
-    out.approximate = res->approximate;
-    out.levels_visited = res->levels_visited;
-    out.top = top_hit;
-    return out;
-}
-
-std::optional<TableLookup>
-LearnedTable::lookupHinted(Lpa lpa, const RawLookup &raw)
-{
-    if (raw.epoch != epoch())
-        return lookup(lpa); // Stale probe: a mutation intervened.
-
-    const uint32_t group_idx = groupOf(lpa);
-    const uint8_t off = static_cast<uint8_t>(groupOffset(lpa));
-
-    // Replay lookup()'s directory and last-hit shortcuts exactly --
-    // including their cache and statistics side effects -- so the
-    // observable table state evolves bit for bit as if lookup() ran.
-    const Group *group;
-    if (cache_.group_idx == group_idx) {
-        group = cache_.group;
-    } else {
-        group = groups_.find(group_idx);
-        if (group) {
-            cache_.group_idx = group_idx;
-            cache_.group = group;
-        } else {
-            cache_.group_idx = kInvalidLpa;
-            cache_.group = nullptr;
-        }
-        cache_.top = nullptr;
-    }
-    if (!group)
-        return std::nullopt;
-
-    if (cache_.top && cache_.epoch == epoch() &&
-        group->hasLpa(*cache_.top, off)) {
-        stats_.lookup_cache_hits++;
-        stats_.lookups++;
-        stats_.lookup_levels_total += 1;
-        stats_.lookup_levels.add(1);
-        return TableLookup{cache_.top->seg.predict(off),
-                           cache_.top->seg.approximate(), 1};
-    }
-
-    // Consume the precomputed level scan instead of re-walking it.
-    if (!raw.found)
-        return std::nullopt;
-    if (raw.top) {
-        cache_.top = raw.top;
-        cache_.epoch = epoch();
-    }
-    stats_.lookups++;
-    stats_.lookup_levels_total += raw.levels_visited;
-    stats_.lookup_levels.add(raw.levels_visited);
-    return TableLookup{raw.ppa, raw.approximate, raw.levels_visited};
-}
-
-void
-LearnedTable::setShardPool(ShardPool *pool)
-{
-    pool_ = pool;
-    const uint32_t n = pool ? pool->workers() : 0;
-    worker_scratch_.resize(n);
-    worker_tally_.resize(n);
-}
-
 void
 LearnedTable::compact()
 {
-    bumpEpoch();
+    cache_.top = nullptr; // Compaction may trim or free the entry.
     // A settled group is at its compaction fixed point and unmutated
     // since, so compacting it again is a no-op: skip it. Only the
     // groups compacted here join the next delta.
-    if (!pool_) {
-        groups_.forEach([&](uint32_t idx, Group &group) {
-            if (group.settled())
-                return;
-            groups_.markDirty(idx);
-            beginMutate(group);
-            group.compact(scratch_);
-            endMutate(group);
-        });
-        return;
-    }
-
-    // Parallel compaction: each group's compact touches only that
-    // group, so the same disjoint-stripe argument as learn() applies.
-    std::vector<Group *> groups;
     groups_.forEach([&](uint32_t idx, Group &group) {
         if (group.settled())
             return;
         groups_.markDirty(idx);
         beginMutate(group);
-        groups.push_back(&group);
+        group.compact(scratch_);
+        endMutate(group);
     });
-    pool_->parallelFor(groups.size(),
-                       [&](size_t begin, size_t end, uint32_t w) {
-                           MergeScratch &scratch = worker_scratch_[w];
-                           for (size_t i = begin; i < end; i++)
-                               groups[i]->compact(scratch);
-                       });
-    for (Group *group : groups)
-        endMutate(*group);
 }
 
 SampleSet
@@ -522,19 +363,11 @@ LearnedTable::applyDelta(const std::vector<uint8_t> &blob, BlobError *err)
     else
         e = restoreGroups(blob, r.at, /*replace=*/true);
     // Group objects may have been replaced (even on a failed parse),
-    // so retire the lookup cache and outstanding hints unconditionally.
-    bumpEpoch();
+    // so retire the lookup cache unconditionally.
     cache_ = LookupCache();
     if (err)
         *err = e;
     return e == BlobError::None;
-}
-
-void
-LearnedTable::advanceEpochBeyond(uint64_t floor)
-{
-    if (epoch_.load(std::memory_order_relaxed) <= floor)
-        epoch_.store(floor + 1, std::memory_order_relaxed);
 }
 
 void

@@ -20,16 +20,16 @@
  *     path allocation-free;
  *   - a one-entry last-hit cache (group pointer + the level-0 entry
  *     that served the previous lookup) short-circuits the level scan
- *     for sequential and hot-key reads. The entry shortcut is gated on
- *     a mutation epoch and only taken for level-0 hits, where it is
- *     exact: within a level ranges never overlap, so a revalidated
- *     cached entry is the same segment a full scan would find, at the
- *     same depth -- observable results and stats are unchanged.
+ *     for sequential and hot-key reads. Every mutation drops the
+ *     cached entry, and the shortcut is only taken for level-0 hits,
+ *     where it is exact: within a level ranges never overlap, so a
+ *     revalidated cached entry is the same segment a full scan would
+ *     find, at the same depth -- observable results and stats are
+ *     unchanged.
  */
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -43,8 +43,6 @@
 
 namespace leaftl
 {
-
-class ShardPool;
 
 /**
  * Typed outcome of parsing a serialized table/delta blob. Persisted
@@ -68,28 +66,6 @@ struct TableLookup
     Ppa ppa;
     bool approximate;
     uint32_t levels_visited;
-};
-
-/**
- * Result of a thread-safe raw translation probe (lookupRaw): the full
- * level-scan outcome plus the epoch it was computed at. Raw probes
- * touch no mutable table state, so any number of workers may compute
- * them concurrently while no mutation runs (the shard runner's
- * quiescent-state discipline). The commit thread later consumes a
- * probe through lookupHinted(), which honors it only when the epoch
- * still matches -- a learn or compaction in between retires the hint
- * by mismatch (group objects never move or die, so a stale @a top is
- * detected, never dangling).
- */
-struct RawLookup
-{
-    uint64_t epoch = 0;        ///< Table epoch the probe ran at.
-    bool found = false;        ///< LPA had a mapping.
-    Ppa ppa = kInvalidPpa;     ///< Predicted PPA when found.
-    bool approximate = false;  ///< Served by an approximate segment.
-    uint32_t levels_visited = 0;
-    /** Level-0 serving entry (lookup-cache candidate), if any. */
-    const SegEntry *top = nullptr;
 };
 
 /**
@@ -138,42 +114,6 @@ class LearnedTable
 
     /** Translate an LPA; nullopt when never learned. */
     std::optional<TableLookup> lookup(Lpa lpa) const;
-
-    /**
-     * Thread-safe raw translation probe: the same level scan lookup()
-     * performs, but touching no mutable state (no lookup cache, no
-     * statistics). Safe to call from any number of threads while no
-     * mutation runs; the result carries the epoch it was computed at
-     * so lookupHinted() can validate it later.
-     */
-    RawLookup lookupRaw(Lpa lpa) const;
-
-    /**
-     * Translate an LPA using a previously computed raw probe. When
-     * @a raw is still current (same epoch), the level scan is skipped
-     * and the probe's result is consumed through exactly the lookup()
-     * cache and statistics protocol -- observable state evolves bit
-     * for bit as if lookup() had run. A stale probe (any mutation
-     * since) falls back to a full lookup(). Must be called from the
-     * commit thread (it advances the mutable lookup cache).
-     */
-    std::optional<TableLookup> lookupHinted(Lpa lpa, const RawLookup &raw);
-
-    /** Current mutation epoch (bumped by every learn/compact/restore). */
-    uint64_t
-    epoch() const
-    {
-        return epoch_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Attach a worker pool: learns and compactions fan their
-     * per-group work out across it (disjoint groups, per-worker merge
-     * arenas, creation tallies merged in worker order -- results and
-     * statistics stay bit-identical to the serial path). nullptr
-     * detaches.
-     */
-    void setShardPool(ShardPool *pool);
 
     /**
      * Compact every group not already settled at its compaction fixed
@@ -267,14 +207,6 @@ class LearnedTable
     bool applyDelta(const std::vector<uint8_t> &blob,
                     BlobError *err = nullptr);
 
-    /**
-     * Ensure this table's epoch is strictly greater than @a floor.
-     * Used when a restored table replaces a live one: outstanding
-     * RawLookup hints stamped by the old table must mismatch against
-     * the replacement (their cached entry pointers died with it).
-     */
-    void advanceEpochBeyond(uint64_t floor);
-
     /** Validate invariants of every group and the totals (tests). */
     void checkInvariants() const;
 
@@ -306,53 +238,21 @@ class LearnedTable
         total_bytes_ += g.memoryBytes();
     }
 
-    /** Bump the mutation epoch (single writer: the commit thread). */
-    void
-    bumpEpoch()
-    {
-        epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    }
-
     uint32_t gamma_;
     GroupDirectory groups_;
     /** Learn-path arena: reused across learns and compactions. */
     MergeScratch scratch_;
     /**
-     * Bumped on every mutation; gates the lookup cache's entry and
-     * retires outstanding RawLookup hints. Atomic so concurrent raw
-     * probes may stamp it without formal data races; there is exactly
-     * one writer (the commit thread) and writes only happen while no
-     * probe runs, so relaxed ordering suffices -- the shard runner's
-     * barrier provides the happens-before edges.
+     * One-entry last-hit translation cache. learn() and compact() drop
+     * @a top (segments may be superseded, trimmed or freed); the group
+     * pointer survives them because groups never move or die.
+     * applyDelta() replaces group contents and drops the whole cache.
      */
-    std::atomic<uint64_t> epoch_{1};
-
-    /** Worker pool for parallel learns/compactions (not owned). */
-    ShardPool *pool_ = nullptr;
-    /** One merge arena per worker (index = worker id). */
-    std::vector<MergeScratch> worker_scratch_;
-    /**
-     * Per-worker creation-statistics tally for one parallel learn;
-     * merged into stats_ in worker order (exact, so bit-identical to
-     * the serial accumulation) and cleared for reuse.
-     */
-    struct CreateTally
-    {
-        uint64_t segments = 0;
-        uint64_t accurate = 0;
-        uint64_t approximate = 0;
-        CountHistogram lengths{256};
-    };
-    std::vector<CreateTally> worker_tally_;
-
-    /** One-entry last-hit translation cache. */
     struct LookupCache
     {
         uint32_t group_idx = kInvalidLpa; ///< Cached group number.
         const Group *group = nullptr;     ///< Never cached when null.
         const SegEntry *top = nullptr;    ///< Level-0 entry of last hit.
-        uint64_t epoch = 0;               ///< Epoch top was captured at.
     };
     mutable LookupCache cache_;
 

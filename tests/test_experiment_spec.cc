@@ -191,6 +191,17 @@ TEST(ExperimentSpec, UnknownConfigKeyNamesSectionAndSuggestion)
     EXPECT_NE(err.find("unknown key 'gama' (did you mean 'gamma'?)"),
               std::string::npos)
         << err;
+
+    // Keys of removed options are rejected, not silently ignored.
+    for (const char *key : {"threads", "quantum"}) {
+        const TempConfig removed(std::string("[experiment]\n") + key +
+                                 " = 4\n");
+        err.clear();
+        EXPECT_FALSE(loadExperimentFile(removed.path(), spec, err)) << key;
+        EXPECT_NE(err.find(std::string("unknown key '") + key + "'"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(ExperimentSpecDeathTest, OrDieRejectsUnknownKeysFatally)

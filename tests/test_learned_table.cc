@@ -13,7 +13,6 @@
 #include <map>
 
 #include "learned/learned_table.hh"
-#include "sim/shard_runner.hh"
 #include "util/rng.hh"
 
 namespace leaftl
@@ -242,6 +241,66 @@ TEST(LearnedTable, LookupCacheInvalidatedByLearnAndCompact)
     EXPECT_EQ(t.lookup(10)->ppa, 9999u);
     EXPECT_EQ(t.lookup(11)->ppa, 1011u);
     t.checkInvariants();
+
+    // Six level-0 segments at 0..9, 20..29, ..., 100..109; the hot key
+    // 105 is served by the last. N = {85, 105} takes an interior member
+    // of the last two, so both keep their ranges and drop one level:
+    // the hot key's old level-0 slot no longer holds its answer.
+    std::vector<std::pair<Lpa, Ppa>> six;
+    for (Lpa base = 0; base <= 100; base += 20) {
+        for (Lpa lpa = base; lpa < base + 10; lpa++)
+            six.emplace_back(lpa, 4000 + six.size());
+    }
+    const std::vector<std::pair<Lpa, Ppa>> n = {{85, 7000}, {105, 7001}};
+
+    LearnedTable l(0);
+    l.learn(six);
+    EXPECT_EQ(l.lookup(105)->ppa, 4055u);
+    EXPECT_EQ(l.lookup(105)->ppa, 4055u); // Cache hit.
+    l.learn(n);
+    EXPECT_EQ(l.lookup(105)->ppa, 7001u);
+    EXPECT_EQ(l.lookup(106)->ppa, 4056u);
+    l.checkInvariants();
+
+    // A cached level-0 entry that compaction sinks must stop answering
+    // at depth 1. Z (odd offsets 1..11) sits below the interleaved W
+    // (even offsets 0..10), so W stays on level 0 while Y (100..109)
+    // sinks under it.
+    LearnedTable c(0);
+    std::vector<std::pair<Lpa, Ppa>> z, wy;
+    for (Lpa lpa = 1; lpa <= 11; lpa += 2)
+        z.emplace_back(lpa, 2000 + lpa);
+    for (Lpa lpa = 0; lpa <= 10; lpa += 2)
+        wy.emplace_back(lpa, 3000 + lpa / 2);
+    for (Lpa lpa = 100; lpa < 110; lpa++)
+        wy.emplace_back(lpa, 3000 + lpa);
+    c.learn(z);
+    c.learn(wy);
+    EXPECT_EQ(c.lookup(105)->levels_visited, 1u);
+    EXPECT_EQ(c.lookup(105)->levels_visited, 1u); // Cache hit.
+    c.compact();
+    const auto fresh = LearnedTable::deserialize(c.serialize());
+    for (Lpa lpa : {Lpa(105), Lpa(4), Lpa(105)}) {
+        const auto got = c.lookup(lpa);
+        const auto want = fresh->lookup(lpa);
+        ASSERT_TRUE(got && want) << lpa;
+        EXPECT_EQ(got->ppa, want->ppa) << lpa;
+        EXPECT_EQ(got->levels_visited, want->levels_visited) << lpa;
+    }
+    EXPECT_EQ(c.lookup(105)->levels_visited, 2u);
+
+    // applyDelta() rewrites the cached entry's group wholesale.
+    LearnedTable d(0);
+    d.learn(six);
+    EXPECT_EQ(d.lookup(105)->ppa, 4055u);
+    EXPECT_EQ(d.lookup(105)->ppa, 4055u); // Cache hit.
+    auto writer = LearnedTable::deserialize(d.serialize());
+    writer->clearDirty();
+    writer->learn(n);
+    ASSERT_TRUE(d.applyDelta(writer->serializeDirty()));
+    EXPECT_EQ(d.lookup(105)->ppa, 7001u);
+    EXPECT_EQ(d.lookup(106)->ppa, 4056u);
+    d.checkInvariants();
 }
 
 TEST(LearnedTable, LookupStatsMemoryIsBoundedOverMillionsOfLookups)
@@ -576,49 +635,6 @@ TEST(LearnedTableCompaction, RestoredGroupsAreCompactedAgain)
     copy->compact();
     EXPECT_EQ(copy->dirtyGroups(), copy->numGroups());
     EXPECT_EQ(copy->serialize(), compacted);
-}
-
-TEST(LearnedTableCompaction, ShardPoolMatchesSerialDirtySetsAndStats)
-{
-    for (uint32_t gamma : {0u, 4u}) {
-        LearnedTable serial(gamma);
-        LearnedTable pooled(gamma);
-        ShardPool pool(4);
-        pooled.setShardPool(&pool);
-        Rng rng(77 + gamma);
-        Ppa next_ppa = 1;
-        for (int round = 0; round < 40; round++) {
-            const auto run = randomRun(rng, 32 * kGroupSpan, next_ppa);
-            serial.learn(run);
-            pooled.learn(run);
-            if (round % 4 == 3) {
-                serial.compact();
-                pooled.compact();
-                ASSERT_EQ(pooled.serialize(), serial.serialize())
-                    << "gamma=" << gamma << " round=" << round;
-                ASSERT_EQ(pooled.dirtyGroups(), serial.dirtyGroups());
-                ASSERT_EQ(pooled.serializeDirty(), serial.serializeDirty());
-            }
-            if (round % 8 == 7) {
-                serial.clearDirty();
-                pooled.clearDirty();
-            }
-            for (Lpa lpa = 0; lpa < 32 * kGroupSpan; lpa += 7) {
-                const auto a = serial.lookup(lpa);
-                const auto b = pooled.lookup(lpa);
-                ASSERT_EQ(a.has_value(), b.has_value()) << lpa;
-            }
-        }
-        const auto &a = serial.stats();
-        const auto &b = pooled.stats();
-        EXPECT_EQ(b.segments_created, a.segments_created);
-        EXPECT_EQ(b.accurate_created, a.accurate_created);
-        EXPECT_EQ(b.approximate_created, a.approximate_created);
-        EXPECT_EQ(b.lookups, a.lookups);
-        EXPECT_EQ(b.lookup_levels_total, a.lookup_levels_total);
-        EXPECT_EQ(b.lookup_cache_hits, a.lookup_cache_hits);
-        EXPECT_EQ(pooled.memoryBytes(), serial.memoryBytes());
-    }
 }
 
 } // namespace

@@ -55,7 +55,6 @@ TEST(LintCatalog, AtLeastTenDistinctRules)
     for (const RuleInfo &r : catalog) {
         names.push_back(r.name);
         EXPECT_TRUE(r.category == "determinism" ||
-                    r.category == "concurrency" ||
                     r.category == "hygiene" || r.category == "perf")
             << r.name << " has category " << r.category;
         EXPECT_FALSE(r.description.empty()) << r.name;
@@ -237,71 +236,13 @@ TEST(LintFloatFormat, PinnedPrecisionAndNonFloatsClean)
                       "float-format"));
 }
 
-// ------------------------------------------------------ epoch-access
-
-TEST(LintEpochAccess, FlagsRawEpochOutsideTable)
-{
-    EXPECT_TRUE(hits("src/ftl/leaftl.cc", "epoch_++;\n", "epoch-access"));
-    EXPECT_TRUE(hits("src/sim/runner.cc",
-                     "uint64_t e = table->epoch_;\n", "epoch-access"));
-}
-
-TEST(LintEpochAccess, TableTranslationUnitAndAccessorClean)
-{
-    EXPECT_FALSE(hits("src/learned/learned_table.hh",
-                      "std::atomic<uint64_t> epoch_{1};\n", "epoch-access"));
-    EXPECT_FALSE(hits("src/learned/learned_table.cc", "epoch_.load();\n",
-                      "epoch-access"));
-    EXPECT_FALSE(hits("src/sim/runner.cc",
-                      "uint64_t e = table->epoch();\n", "epoch-access"));
-}
-
-// ------------------------------------------------- parallel-mutation
-
-TEST(LintParallelMutation, FlagsTableMutationInWorkerBody)
-{
-    const std::string src =
-        "void process(ShardPool *pool, LearnedTable *table)\n"
-        "{\n"
-        "    pool->parallelFor(n, [&](size_t b, size_t e, uint32_t) {\n"
-        "        for (size_t i = b; i < e; i++)\n"
-        "            table->learn(runs[i]);\n"
-        "    });\n"
-        "}\n";
-    const auto findings = lintContent("src/sim/runner.cc", src);
-    ASSERT_EQ(1u, findings.size());
-    EXPECT_EQ("parallel-mutation", findings[0].rule);
-    EXPECT_EQ(5, findings[0].line);
-}
-
-TEST(LintParallelMutation, RawProbesAndSerialCodeClean)
-{
-    const std::string raw =
-        "pool->parallelFor(n, [&](size_t b, size_t e, uint32_t) {\n"
-        "    for (size_t i = b; i < e; i++)\n"
-        "        raws[i] = table->lookupRaw(lpas[i]);\n"
-        "});\n";
-    EXPECT_FALSE(hits("src/sim/runner.cc", raw, "parallel-mutation"));
-    // The same mutation outside any parallelFor window is the normal
-    // serial path.
-    EXPECT_FALSE(hits("src/sim/runner.cc", "table->learn(run);\n",
-                      "parallel-mutation"));
-    // learned_table.cc owns the disjoint per-group fan-out.
-    const std::string fanout =
-        "pool_->parallelFor(n, [&](size_t b, size_t e, uint32_t w) {\n"
-        "    groups[b]->compact(scratch);\n"
-        "});\n";
-    EXPECT_FALSE(hits("src/learned/learned_table.cc", fanout,
-                      "parallel-mutation"));
-}
-
 // -------------------------------------------- hot-path-std-function
 
 TEST(LintHotPathStdFunction, FlagsStdFunctionInHotHeaders)
 {
     EXPECT_TRUE(hits("src/learned/foo.hh", "std::function<void()> cb_;\n",
                      "hot-path-std-function"));
-    EXPECT_TRUE(hits("src/sim/shard_runner.hh", "#include <functional>\n",
+    EXPECT_TRUE(hits("src/learned/group.hh", "#include <functional>\n",
                      "hot-path-std-function"));
 }
 

@@ -149,6 +149,12 @@ TEST(SimCliParse, RejectsBadInput)
         const char *argv[] = {"leaftl_sim", "--requests"};
         EXPECT_FALSE(parseArgs(2, argv, opts, err));
     }
+    // Removed options fail loudly: no deprecation shim accepts them.
+    for (const char *flag : {"--threads", "--quantum"}) {
+        const char *argv[] = {"leaftl_sim", flag, "4"};
+        EXPECT_FALSE(parseArgs(3, argv, opts, err)) << flag;
+        EXPECT_EQ(err, std::string("unknown argument '") + flag + "'");
+    }
 }
 
 TEST(SimCliWorkloads, ResolvesEveryKnownFamily)
